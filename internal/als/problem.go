@@ -269,29 +269,37 @@ func (p *Problem) solveRow(i int, obs []observation, fixed *mat.Matrix, out []fl
 	}
 	featRow := i >= p.n
 	nCols := int32(p.n)
+	// Accumulate through re-sliced rows of the backing arrays (the slice
+	// lengths let the compiler drop the inner loops' bounds checks). Each
+	// accumulator adds its terms in observation order, as before.
+	g := ata.Data[:k*k]
+	atb = atb[:k]
 	var wsum float64
 	for _, o := range obs {
-		q := fixed.Row(int(o.col))
+		off := int(o.col) * k
+		q := fixed.Data[off : off+k : off+k]
 		w := 1.0
 		if featRow || o.col >= nCols {
 			w = fw
 		}
 		wsum += w
-		for a := 0; a < k; a++ {
-			wqa := w * q[a]
+		for a, qa := range q {
+			wqa := w * qa
 			atb[a] += wqa * o.value
-			arow := ata.Row(a)
-			for b := a; b < k; b++ {
-				arow[b] += wqa * q[b]
+			t := q[a:]
+			arow := g[a*k+a : a*k+k]
+			arow = arow[:len(t)]
+			for b, v := range t {
+				arow[b] += wqa * v
 			}
 		}
 	}
 	// Mirror the upper triangle and add the regularizer.
 	for a := 0; a < k; a++ {
 		for b := a + 1; b < k; b++ {
-			ata.Set(b, a, ata.At(a, b))
+			g[b*k+a] = g[a*k+b]
 		}
-		ata.Add(a, a, lambda*wsum+1e-9)
+		g[a*k+a] += lambda*wsum + 1e-9
 	}
 	if err := mat.CholeskySolveScratch(ata, atb, sc.lfac, sc.sol); err != nil {
 		return // keep previous factors for this row

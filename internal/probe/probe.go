@@ -4,17 +4,34 @@
 // ε-greedy exploitation/exploration batch selection, per-vantage-point
 // scoring, and the hierarchical cross-metro prior of Appx. D.6.
 //
-// The selector is the inner loop of a whole run: SelectBatch evaluates
-// EntryProb for every open (row, column) pair of the neediest rows, once
-// per selected measurement. PR 7 profiling showed that loop dominating
-// end-to-end wall-clock through map hashing (16-byte [2]int and struct
-// keys) and per-candidate allocations, so every per-pair structure here is
-// a dense slice indexed by member row (penalties, exploration marks, VP
-// scores, category caches) and all batch-scoped scratch lives on the
-// Selector. The selection semantics — iteration order, tie-breaking, and
-// the exact RNG consumption sequence — are bit-identical to the original
-// map-based implementation; a Selector is not safe for concurrent use
-// (and never was: Report's call order shapes future batches).
+// The selector is the inner loop of a whole run, so each unit of its work
+// runs once:
+//
+//   - Scoring. An ordered entry's probability is the best of its 144
+//     strategy cells. The winning (P, VP category, target category) is
+//     memoized per entry and stamped with a statistics generation that
+//     Report and InitPriors bump — the only writers of the strategy
+//     rates, penalties and VP scores — so within a SelectBatch every
+//     entry is scored at most once, however often its row is rescanned.
+//   - Drawing. Every scanned candidate with P > 0 consumes the RNG as if
+//     its measurement were built (VP sample positions, the weighted-pick
+//     variate, the target position). Winner and orientation choices
+//     compare P values known before any draw, so only the current
+//     winner's draws are kept; a loser's land in a scratch record that
+//     is never read. The VP weight table and the Measurement are
+//     materialized for the batch's winners alone.
+//   - Exploration. The explore candidates of a batch are heapified once
+//     by (fill sum, i, j). Within a batch the filters only shrink and the
+//     fills only rise, so popping with lazy drops and re-sifts walks the
+//     candidates in exactly the order a fresh sort per pick would.
+//
+// Per-pair state (memo, penalties, exploration marks, VP scores, category
+// caches) lives in dense slices indexed by member row; a row's VP
+// categories are index lists into one shared VP array. The selection
+// semantics — iteration order, tie-breaking, and the exact RNG
+// consumption sequence — are those of the original map-based
+// implementation. A Selector is not safe for concurrent use: Report's call
+// order shapes future batches.
 package probe
 
 import (
@@ -116,11 +133,12 @@ type Measurement struct {
 	Exploration bool
 }
 
-// vpCat is one non-empty vantage-point category of a member row: the VPs
-// plus their indices into Selector.vps (for the dense score table).
+// vpCat is one non-empty vantage-point category of a member row: the
+// indices into Selector.vps of its VPs, in vps order, each canonicalized
+// so that duplicate VP values (two probes in the same AS at the same
+// metro) share one slot of the dense score table.
 type vpCat struct {
 	key  int
-	vps  []VP
 	idxs []int32
 }
 
@@ -129,6 +147,9 @@ type tgtCat struct {
 	key  int
 	tgts []Target
 }
+
+// numVPKeys is the number of distinct vantage-point category keys.
+const numVPKeys = int(asgraph.NumGeoScopes) * int(numVPTopo)
 
 // counter tracks informative/total outcomes of a (VP, member) pairing.
 type counter struct{ good, total float64 }
@@ -171,6 +192,12 @@ type Selector struct {
 	// VP value back to its index in vps (built on first Report).
 	vpScore [][]counter
 	vpIndex map[VP]int32
+	// vpGeo and vpCanon hold each VP's geographic scope relative to the
+	// metro and its canonical score-table index (built with the first
+	// row's categories).
+	vpGeo      []asgraph.GeoScope
+	vpCanon    []int32
+	keyScratch []uint8
 
 	// Cached per-member-row VP and target categorizations as dense lists
 	// sorted by category key (map iteration order is random; the hot
@@ -178,28 +205,54 @@ type Selector struct {
 	vpCats  [][]vpCat
 	tgtCats [][]tgtCat
 
-	// Batch-scoped scratch, reused across SelectBatch calls and across
-	// the EntryProb sweep (one Selector serves one goroutine).
+	// scores memoizes each ordered entry's winning strategy (i*n+j),
+	// allocated on first use; an entry is current when its gen equals
+	// gen, which Report and InitPriors bump.
+	scores []entryScore
+	gen    uint32
+
+	// Batch-scoped scratch, reused across SelectBatch calls (one Selector
+	// serves one goroutine).
 	fillScratch   []int
 	pendingMark   []bool // n×n: entry already chosen in this batch
 	perRowScratch []int  // explorations per row in this batch
 	rowSorter     rowFillSorter
-	candSorter    candSorter
-	sampleScratch []VP
-	idxScratch    []int32
-	weightScratch []float64
-	// Result slots for the allocation-free entryProb: A and B hold the
-	// two orientations of the pair under evaluation, best holds the
-	// winner across pairs (so later evaluations cannot clobber it).
-	measureA, measureB, measureBest Measurement
+	// explore is the batch's exploration candidate heap, built by the
+	// batch's first exploration pick (exploreBuilt).
+	explore      exploreHeap
+	exploreBuilt bool
+	// won holds the RNG draws of the current winning candidate; lost
+	// receives a losing candidate's draws.
+	won, lost entryDraw
 }
 
-type exploreCand struct{ i, j, sum int }
+// entryScore is one ordered entry's memoized winning strategy: its
+// probability and the positions of the winning VP and target categories
+// in the rows' category lists (at most 12 each). 16 B per entry.
+type entryScore struct {
+	p    float64
+	gen  uint32
+	v, t uint8
+}
 
-// rowFillSorter and candSorter are reusable sort.Interface
-// implementations: the selection loops sort once per chosen measurement,
-// and sort.Slice's reflect-based swapper allocates per call while
-// sort.Sort/sort.Stable on a pointer receiver does not.
+// vpSampleSize is the number of VPs sampled (with replacement) from a
+// category larger than it before the weighted pick.
+const vpSampleSize = 24
+
+// entryDraw holds the raw RNG values one entry's measurement consumes:
+// the sampled VP positions (categories of more than vpSampleSize VPs), the
+// weighted pick's uniform variate (more than one VP) and the target
+// position.
+type entryDraw struct {
+	sample [vpSampleSize]int32
+	u      float64
+	tgt    int
+}
+
+// rowFillSorter is a reusable sort.Interface: the exploit loop sorts the
+// rows once per chosen measurement, and sort.Slice's reflect-based
+// swapper allocates per call while sort.Stable on a pointer receiver
+// does not.
 type rowFillSorter struct {
 	rows []int
 	fill []int
@@ -209,20 +262,48 @@ func (s *rowFillSorter) Len() int           { return len(s.rows) }
 func (s *rowFillSorter) Less(a, b int) bool { return s.fill[s.rows[a]] < s.fill[s.rows[b]] }
 func (s *rowFillSorter) Swap(a, b int)      { s.rows[a], s.rows[b] = s.rows[b], s.rows[a] }
 
-type candSorter struct{ cands []exploreCand }
+// exploreCand is an exploration candidate: member rows i < j with the
+// fill sum fill[i]+fill[j] it was last keyed by.
+type exploreCand struct{ sum, i, j int32 }
 
-func (s *candSorter) Len() int { return len(s.cands) }
-func (s *candSorter) Less(a, b int) bool {
-	ca, cb := &s.cands[a], &s.cands[b]
-	if ca.sum != cb.sum {
-		return ca.sum < cb.sum
+func (a exploreCand) less(b exploreCand) bool {
+	if a.sum != b.sum {
+		return a.sum < b.sum
 	}
-	if ca.i != cb.i {
-		return ca.i < cb.i
+	if a.i != b.i {
+		return a.i < b.i
 	}
-	return ca.j < cb.j
+	return a.j < b.j
 }
-func (s *candSorter) Swap(a, b int) { s.cands[a], s.cands[b] = s.cands[b], s.cands[a] }
+
+// exploreHeap is a binary min-heap of candidates under (sum, i, j), a
+// total order since pairs are unique.
+type exploreHeap []exploreCand
+
+func (h exploreHeap) down(k int) {
+	for {
+		c := 2*k + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && h[r].less(h[c]) {
+			c = r
+		}
+		if !h[c].less(h[k]) {
+			return
+		}
+		h[k], h[c] = h[c], h[k]
+		k = c
+	}
+}
+
+func (h exploreHeap) pop() exploreHeap {
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	h.down(0)
+	return h
+}
 
 // NewSelector builds a selector for a metro over the given members, probes
 // and hitlist of target ASes.
@@ -241,6 +322,7 @@ func NewSelector(g *asgraph.Graph, metro int, members []int, vps []VP, hitlist [
 		vpScore:      make([][]counter, n),
 		vpCats:       make([][]vpCat, n),
 		tgtCats:      make([][]tgtCat, n),
+		gen:          1,
 	}
 	for i, as := range members {
 		s.Index[as] = i
@@ -271,6 +353,7 @@ func NewSelector(g *asgraph.Graph, metro int, members []int, vps []VP, hitlist [
 // other metros (the hierarchical partial-pooling prior of Appx. D.6).
 // weight is the pseudo-trial count given to the prior.
 func (s *Selector) InitPriors(prior [NumStrategies]float64, weight float64) {
+	s.invalidate()
 	for i := range s.stratSucc {
 		s.stratSucc[i] = prior[i]*weight + 1
 		s.stratTrial[i] = weight + 6
@@ -316,7 +399,7 @@ func (s *Selector) BootstrapPlan(perStrategy, maxEntriesScanned int, rng *rand.R
 				}
 				counts[id]++
 				plan = append(plan, Measurement{
-					VP:     vc.vps[rng.Intn(len(vc.vps))],
+					VP:     s.vps[vc.idxs[rng.Intn(len(vc.idxs))]],
 					Target: tc.tgts[rng.Intn(len(tc.tgts))],
 					LinkI:  asI, LinkJ: asJ,
 					Strat: strategyFromKeys(vc.key, tc.key),
@@ -341,31 +424,48 @@ func (s *Selector) vpTopoOf(vp VP, i int) VPTopo {
 
 // vpCategories returns the vantage points of member row i grouped by
 // (geo, topo) category, as a dense list sorted by category key, cached.
+// All of a row's categories share one exactly sized index array.
 func (s *Selector) vpCategories(i int) []vpCat {
 	if c := s.vpCats[i]; c != nil {
 		return c
 	}
-	asI := s.Members[i]
-	byKey := map[int]int{} // key -> index into cats
-	cats := []vpCat{}
-	for _, vp := range s.vps {
-		geo := s.G.ScopeOfMetros(vp.Metro, s.Metro)
-		topo := s.vpTopoOf(vp, asI)
-		key := int(geo)*int(numVPTopo) + int(topo)
-		ci, ok := byKey[key]
-		if !ok {
-			ci = len(cats)
-			byKey[key] = ci
-			cats = append(cats, vpCat{key: key})
+	if s.vpGeo == nil {
+		s.vpGeo = make([]asgraph.GeoScope, len(s.vps))
+		s.vpCanon = make([]int32, len(s.vps))
+		for k, vp := range s.vps {
+			s.vpGeo[k] = s.G.ScopeOfMetros(vp.Metro, s.Metro)
+			s.vpCanon[k], _ = s.vpIndexOf(vp)
 		}
-		// Canonicalize duplicate VP values (two probes in the same AS at
-		// the same metro) onto one score-table index, matching the
-		// value-keyed scoring they'd share in a map.
-		vi, _ := s.vpIndexOf(vp)
-		cats[ci].vps = append(cats[ci].vps, vp)
-		cats[ci].idxs = append(cats[ci].idxs, vi)
 	}
-	sort.Slice(cats, func(a, b int) bool { return cats[a].key < cats[b].key })
+	asI := s.Members[i]
+	keys := s.keyScratch[:0]
+	var counts [numVPKeys]int
+	for k, vp := range s.vps {
+		key := uint8(int(s.vpGeo[k])*int(numVPTopo) + int(s.vpTopoOf(vp, asI)))
+		keys = append(keys, key)
+		counts[key]++
+	}
+	s.keyScratch = keys
+	// Counting sort: category key order, vps order within a category.
+	var end [numVPKeys]int
+	total := 0
+	for key, c := range counts {
+		total += c
+		end[key] = total
+	}
+	idxs := make([]int32, len(s.vps))
+	next := end
+	for k := len(keys) - 1; k >= 0; k-- {
+		next[keys[k]]--
+		idxs[next[keys[k]]] = s.vpCanon[k]
+	}
+	cats := []vpCat{}
+	for key, c := range counts {
+		if c > 0 {
+			e := end[key]
+			cats = append(cats, vpCat{key: key, idxs: idxs[e-c : e : e]})
+		}
+	}
 	s.vpCats[i] = cats
 	return cats
 }
@@ -430,32 +530,49 @@ func (s *Selector) baseRate(id int) float64 {
 // EntryProb returns P_ijm: the best estimated probability, over all
 // strategies with available (vp, target) pairs, that a traceroute fills
 // entry (i, j) — member-row indices. The second result is the best
-// concrete measurement achieving it (freshly allocated; the batch
-// selection loops use entryProb with a caller-owned slot instead).
+// concrete measurement achieving it (nil when P is 0).
 func (s *Selector) EntryProb(i, j int, rng *rand.Rand) (float64, *Measurement) {
-	var m Measurement
-	p := s.entryProb(i, j, rng, &m)
-	if p == 0 {
+	e := s.score(i, j)
+	if e.p == 0 {
 		return 0, nil
 	}
-	return p, &m
+	s.draw(i, j, e, rng, true)
+	m := s.materialize(i, j)
+	return e.p, &m
 }
 
-// entryProb is the allocation-free core of EntryProb: it fills out with
-// the best concrete measurement and returns its probability (0 when no
-// measurement is possible, leaving out untouched).
-func (s *Selector) entryProb(i, j int, rng *rand.Rand, out *Measurement) float64 {
-	asI, asJ := s.Members[i], s.Members[j]
+// invalidate starts a new statistics generation, making every memoized
+// entry score stale.
+func (s *Selector) invalidate() {
+	s.gen++
+	if s.gen == 0 { // wrapped: stamps from 2^32 generations ago would match
+		clear(s.scores)
+		s.gen = 1
+	}
+}
+
+// score returns the memoized winning strategy of ordered entry (i, j),
+// recomputing it when the statistics changed since it was stored. P is 0
+// when no (vp, target) pair exists for the entry.
+func (s *Selector) score(i, j int) *entryScore {
+	n := len(s.Members)
+	if s.scores == nil {
+		s.scores = make([]entryScore, n*n)
+	}
+	e := &s.scores[i*n+j]
+	if e.gen == s.gen {
+		return e
+	}
 	bestP := 0.0
-	bestV, bestT := -1, -1
+	bestV, bestT := 0, 0
 	vcats := s.vpCategories(i)
 	tcats := s.targetsFor(j)
 	entryPen := s.entryPenaltyFor(i, j)
-	pens := s.penalty[i*len(s.Members)+j]
+	pens := s.penalty[i*n+j]
 	for vi := range vcats {
 		vc := &vcats[vi]
 		vbase := vc.key * numTgtKeys
-		nv := float64(len(vc.vps))
+		nv := float64(len(vc.idxs))
 		for ti := range tcats {
 			tc := &tcats[ti]
 			id := vbase + tc.key
@@ -476,19 +593,53 @@ func (s *Selector) entryProb(i, j int, rng *rand.Rand, out *Measurement) float64
 			}
 		}
 	}
-	if bestV < 0 {
-		return 0
+	*e = entryScore{p: bestP, gen: s.gen, v: uint8(bestV), t: uint8(bestT)}
+	return e
+}
+
+// draw consumes the RNG exactly as building entry (i, j)'s measurement
+// does: vpSampleSize VP positions when the winning VP category is larger
+// than that, the weighted pick's variate when it holds more than one VP,
+// then the target position. An entry with P = 0 draws nothing. When keep
+// is set the values land in s.won; otherwise they go to s.lost and are
+// never used.
+func (s *Selector) draw(i, j int, e *entryScore, rng *rand.Rand, keep bool) {
+	if e.p == 0 {
+		return
 	}
-	// Materialize the concrete measurement only for the winning category.
-	vc := &vcats[bestV]
-	tc := &tcats[bestT]
-	*out = Measurement{
-		VP:     s.pickVP(vc.vps, vc.idxs, i, rng),
-		Target: tc.tgts[rng.Intn(len(tc.tgts))],
-		LinkI:  asI, LinkJ: asJ,
-		Strat: strategyFromKeys(vc.key, tc.key), P: bestP,
+	d := &s.lost
+	if keep {
+		d = &s.won
 	}
-	return bestP
+	drawVP(len(s.vpCats[i][e.v].idxs), rng, d)
+	d.tgt = rng.Intn(len(s.tgtCats[j][e.t].tgts))
+}
+
+// drawVP draws the VP half of an entry's measurement from a category of
+// nv VPs.
+func drawVP(nv int, rng *rand.Rand, d *entryDraw) {
+	if nv > vpSampleSize {
+		for k := range d.sample {
+			d.sample[k] = int32(rng.Intn(nv))
+		}
+	}
+	if nv > 1 {
+		d.u = rng.Float64()
+	}
+}
+
+// materialize builds the measurement of scored entry (i, j) from the
+// draws in s.won.
+func (s *Selector) materialize(i, j int) Measurement {
+	e := &s.scores[i*len(s.Members)+j]
+	vc := &s.vpCats[i][e.v]
+	tc := &s.tgtCats[j][e.t]
+	return Measurement{
+		VP:     s.pickVP(vc, i, &s.won),
+		Target: tc.tgts[s.won.tgt],
+		LinkI:  s.Members[i], LinkJ: s.Members[j],
+		Strat: strategyFromKeys(vc.key, tc.key), P: e.p,
+	}
 }
 
 func (s *Selector) penaltyFor(i, j, strat int) float64 {
@@ -510,59 +661,56 @@ func (s *Selector) entryPenaltyFor(i, j int) float64 {
 	return 1
 }
 
-// pickVP selects a vantage point with probability proportional to its
-// informativeness score for member row i (biased random, §3.3.2). idxs
-// holds the VPs' indices into s.vps (parallel to vps) for the score table.
-func (s *Selector) pickVP(vps []VP, idxs []int32, i int, rng *rand.Rand) VP {
-	if len(vps) == 1 {
-		return vps[0]
+// pickVP resolves drawn values d into a vantage point of category vc,
+// chosen with probability proportional to its informativeness score for
+// member row i (biased random, §3.3.2). Large categories (hundreds of
+// "elsewhere" probes) are sampled: a biased pick among vpSampleSize
+// random candidates behaves like the full scan at a fraction of the cost.
+func (s *Selector) pickVP(vc *vpCat, i int, d *entryDraw) VP {
+	nv := len(vc.idxs)
+	if nv == 1 {
+		return s.vps[vc.idxs[0]]
 	}
-	// Large categories (hundreds of "elsewhere" probes) are sampled: a
-	// biased pick among 24 random candidates behaves like the full scan
-	// at a fraction of the cost.
-	if len(vps) > 24 {
-		if cap(s.sampleScratch) < 24 {
-			s.sampleScratch = make([]VP, 24)
-			s.idxScratch = make([]int32, 24)
+	cands := nv
+	if nv > vpSampleSize {
+		cands = vpSampleSize
+	}
+	// idx is candidate k's index into s.vps and the score table.
+	idx := func(k int) int32 {
+		if nv > vpSampleSize {
+			return vc.idxs[d.sample[k]]
 		}
-		sample, sidx := s.sampleScratch[:24], s.idxScratch[:24]
-		for k := range sample {
-			pick := rng.Intn(len(vps))
-			sample[k] = vps[pick]
-			sidx[k] = idxs[pick]
-		}
-		vps, idxs = sample, sidx
+		return vc.idxs[k]
 	}
-	if cap(s.weightScratch) < len(vps) {
-		s.weightScratch = make([]float64, len(vps))
-	}
-	weights := s.weightScratch[:len(vps)]
-	total := 0.0
 	scores := s.vpScore[i]
-	for k := range vps {
+	weight := func(k int) float64 {
 		w := 0.2
 		if scores != nil {
-			if c := &scores[idxs[k]]; c.total > 0 {
+			if c := &scores[idx(k)]; c.total > 0 {
 				w += c.good / c.total
 			}
 		}
-		weights[k] = w
-		total += w
+		return w
 	}
-	r := rng.Float64() * total
-	for k, w := range weights {
-		r -= w
+	total := 0.0
+	for k := 0; k < cands; k++ {
+		total += weight(k)
+	}
+	r := d.u * total
+	for k := 0; k < cands; k++ {
+		r -= weight(k)
 		if r <= 0 {
-			return vps[k]
+			return s.vps[idx(k)]
 		}
 	}
-	return vps[len(vps)-1]
+	return s.vps[idx(cands-1)]
 }
 
 // SelectBatch chooses up to size measurements using ε-greedy
 // exploitation/exploration over rows that still need entries: need[i] is
 // the number of additional entries row i requires (rows with need <= 0 are
-// skipped). Fill state is updated optimistically within the batch.
+// skipped). Fill state is updated optimistically within the batch. has
+// must not change during the call.
 //
 // Ordered-commit contract: the returned batch order is significant. The
 // measurement pipeline may execute the batch's traceroutes concurrently,
@@ -582,25 +730,28 @@ func (s *Selector) SelectBatch(size int, eps float64, rowFill []int, need []int,
 	for k := range perRow {
 		perRow[k] = 0
 	}
+	s.exploreBuilt = false
 	var out []Measurement
 	for len(out) < size {
 		explore := rng.Float64() < eps
-		var m *Measurement
+		i, j, ok := 0, 0, false
 		if explore {
-			m = s.selectExplore(fill, need, has, pending, perRow, rng)
+			i, j, ok = s.selectExplore(fill, need, has, pending, perRow, rng)
 		}
-		if m == nil {
-			m = s.selectExploit(fill, need, has, pending, rng)
+		explored := ok
+		if !ok {
+			i, j, ok = s.selectExploit(fill, need, has, pending, rng)
 		}
-		if m == nil {
+		if !ok {
 			break // nothing measurable remains
 		}
-		i, j := s.Index[m.LinkI], s.Index[m.LinkJ]
+		m := s.materialize(i, j)
+		m.Exploration = explored
 		pending[i*n+j] = true
 		pending[j*n+i] = true
 		fill[i]++
 		fill[j]++
-		out = append(out, *m)
+		out = append(out, m)
 	}
 	// Clear the pending marks this batch set (bounded by the batch size,
 	// so clearing costs O(|out|), not O(n²)).
@@ -614,46 +765,93 @@ func (s *Selector) SelectBatch(size int, eps float64, rowFill []int, need []int,
 
 // selectExploit picks the row with the fewest filled entries that has some
 // entry with P > 0.1, then the entry with the highest probability (§3.3.1).
-func (s *Selector) selectExploit(fill, need []int, has func(i, j int) bool, pending []bool, rng *rand.Rand) *Measurement {
+// It returns the winner as an ordered entry whose draws are in s.won.
+func (s *Selector) selectExploit(fill, need []int, has func(i, j int) bool, pending []bool, rng *rand.Rand) (int, int, bool) {
 	n := len(s.Members)
 	order := s.rowsByFill(fill, need, rng)
 	for _, i := range order {
 		bestP := 0.1
-		var best *Measurement
+		bi, bj := -1, -1
 		for j := 0; j < n; j++ {
 			if j == i || has(i, j) || pending[i*n+j] {
 				continue
 			}
 			// A link can be measured from either side: probe near i
-			// toward j, or near j toward i. Take the better orientation.
-			p := s.entryProb(i, j, rng, &s.measureA)
-			m := &s.measureA
-			if p == 0 {
-				m = nil
+			// toward j, or near j toward i. Take the better orientation
+			// (ties keep i→j).
+			a, b := s.score(i, j), s.score(j, i)
+			p, flip := a.p, b.p > a.p
+			if flip {
+				p = b.p
 			}
-			if p2 := s.entryProb(j, i, rng, &s.measureB); p2 > p {
-				p, m = p2, &s.measureB
-			}
-			if p > bestP && m != nil {
+			win := p > bestP
+			s.draw(i, j, a, rng, win && !flip)
+			s.draw(j, i, b, rng, win && flip)
+			if win {
 				bestP = p
-				s.measureBest = *m
-				s.measureBest.P = p
-				best = &s.measureBest
+				bi, bj = i, j
+				if flip {
+					bi, bj = j, i
+				}
 			}
 		}
-		if best != nil {
-			return best
+		if bi >= 0 {
+			return bi, bj, true
 		}
 	}
-	return nil
+	return 0, 0, false
 }
 
-// selectExplore picks the (i, j) minimizing fill[i]+fill[j] that has any
-// possible measurement, capped at one exploration per row per batch and
-// one per entry ever (§3.3.1).
-func (s *Selector) selectExplore(fill, need []int, has func(i, j int) bool, pending []bool, perRow []int, rng *rand.Rand) *Measurement {
+// selectExplore picks the (i, j), i < j, minimizing fill[i]+fill[j] that
+// has any possible measurement, trying both orientations and keeping the
+// better one (§3.3.1). Each entry is explored at most once ever. Within a
+// batch, a row that took part in an exploration cannot be the lower-index
+// end i of another one; it may still be the higher-index end j. It returns
+// the winner as an ordered entry whose draws are in s.won.
+func (s *Selector) selectExplore(fill, need []int, has func(i, j int) bool, pending []bool, perRow []int, rng *rand.Rand) (int, int, bool) {
 	n := len(s.Members)
-	cands := s.candSorter.cands[:0]
+	if !s.exploreBuilt {
+		s.buildExplore(fill, need, has, pending, perRow)
+	}
+	h := s.explore
+	defer func() { s.explore = h }()
+	for len(h) > 0 {
+		c := h[0]
+		i, j := int(c.i), int(c.j)
+		// has and need are fixed within a batch; these only grow.
+		if perRow[i] >= 1 || pending[i*n+j] || s.explored[i*n+j] {
+			h = h.pop()
+			continue
+		}
+		// Fills only rise, so a stale key is re-sifted downwards.
+		if sum := int32(fill[i] + fill[j]); sum != c.sum {
+			h[0].sum = sum
+			h.down(0)
+			continue
+		}
+		h = h.pop()
+		a, b := s.score(i, j), s.score(j, i)
+		if a.p == 0 && b.p == 0 {
+			continue // no measurement possible; draws nothing
+		}
+		flip := a.p == 0 || b.p > a.p
+		s.draw(i, j, a, rng, !flip)
+		s.draw(j, i, b, rng, flip)
+		s.explored[i*n+j] = true
+		perRow[i]++
+		perRow[j]++
+		if flip {
+			return j, i, true
+		}
+		return i, j, true
+	}
+	return 0, 0, false
+}
+
+// buildExplore heapifies the batch's exploration candidates.
+func (s *Selector) buildExplore(fill, need []int, has func(i, j int) bool, pending []bool, perRow []int) {
+	n := len(s.Members)
+	h := s.explore[:0]
 	for i := 0; i < n; i++ {
 		if need[i] <= 0 || perRow[i] >= 1 {
 			continue
@@ -662,40 +860,13 @@ func (s *Selector) selectExplore(fill, need []int, has func(i, j int) bool, pend
 			if has(i, j) || pending[i*n+j] || s.explored[i*n+j] {
 				continue
 			}
-			cands = append(cands, exploreCand{i, j, fill[i] + fill[j]})
+			h = append(h, exploreCand{int32(fill[i] + fill[j]), int32(i), int32(j)})
 		}
 	}
-	s.candSorter.cands = cands
-	if len(cands) == 0 {
-		return nil
+	for k := len(h)/2 - 1; k >= 0; k-- {
+		h.down(k)
 	}
-	// The (sum, i, j) comparator is a total order (pairs are unique), so
-	// an unstable sort yields the same permutation sort.Slice did.
-	sort.Sort(&s.candSorter)
-	// Walk candidates in order until one has a feasible measurement,
-	// trying both orientations and keeping the better one.
-	for _, c := range cands {
-		p1 := s.entryProb(c.i, c.j, rng, &s.measureA)
-		m := &s.measureA
-		if p1 == 0 {
-			m = nil
-		}
-		if p2 := s.entryProb(c.j, c.i, rng, &s.measureB); m == nil || (p2 != 0 && p2 > p1) {
-			if p2 == 0 {
-				m = nil
-			} else {
-				m = &s.measureB
-			}
-		}
-		if m != nil {
-			m.Exploration = true
-			s.explored[c.i*n+c.j] = true
-			perRow[c.i]++
-			perRow[c.j]++
-			return m
-		}
-	}
-	return nil
+	s.explore, s.exploreBuilt = h, true
 }
 
 // rowsByFill orders member rows that still need entries by increasing fill
@@ -722,6 +893,7 @@ func (s *Selector) rowsByFill(fill, need []int, rng *rand.Rand) []int {
 // traceroutes themselves ran concurrently (see the ordered-commit contract
 // on SelectBatch).
 func (s *Selector) Report(m Measurement, informative bool) {
+	s.invalidate()
 	id := m.Strat.ID()
 	s.stratTrial[id]++
 	if informative {

@@ -70,13 +70,16 @@ func TestStrategyIDRoundTrip(t *testing.T) {
 
 // catVPs and catTgts look up one category's pool in the dense sorted
 // category lists (test convenience; missing key = empty pool).
-func catVPs(cats []vpCat, key int) []VP {
+func catVPs(s *Selector, cats []vpCat, key int) []VP {
+	var out []VP
 	for i := range cats {
 		if cats[i].key == key {
-			return cats[i].vps
+			for _, vi := range cats[i].idxs {
+				out = append(out, s.vps[vi])
+			}
 		}
 	}
-	return nil
+	return out
 }
 
 func catTgts(cats []tgtCat, key int) []Target {
@@ -93,13 +96,13 @@ func TestVPCategorization(t *testing.T) {
 	// AS 1 (row 0) hosts a VP in the metro: category (SameMetro, VPInAS).
 	cats := s.vpCategories(s.Index[1])
 	key := int(asgraph.SameMetro)*int(numVPTopo) + int(VPInAS)
-	if got := catVPs(cats, key); len(got) != 1 || got[0].AS != 1 {
+	if got := catVPs(s, cats, key); len(got) != 1 || got[0].AS != 1 {
 		t.Fatalf("cats[%d] = %+v", key, got)
 	}
 	// VP in AS 0 (provider, not in cone of 1) at NYC: different continents
 	// NL vs US ⇒ Elsewhere, VPOutside.
 	key2 := int(asgraph.Elsewhere)*int(numVPTopo) + int(VPOutside)
-	if got := catVPs(cats, key2); len(got) != 1 || got[0].AS != 0 {
+	if got := catVPs(s, cats, key2); len(got) != 1 || got[0].AS != 0 {
 		t.Fatalf("cats[%d] = %+v", key2, got)
 	}
 	// Category keys come back sorted (the selection loops rely on it).
@@ -108,16 +111,18 @@ func TestVPCategorization(t *testing.T) {
 			t.Fatalf("category keys not sorted: %+v", cats)
 		}
 	}
-	// Parallel index slices point back into s.vps.
+	// Every VP lands in exactly one category, as an index into s.vps.
+	total := 0
 	for _, c := range cats {
-		if len(c.idxs) != len(c.vps) {
-			t.Fatalf("idxs/vps length mismatch: %+v", c)
-		}
-		for k := range c.vps {
-			if s.vps[c.idxs[k]] != c.vps[k] {
-				t.Fatalf("idx %d does not resolve to %+v", c.idxs[k], c.vps[k])
+		total += len(c.idxs)
+		for _, vi := range c.idxs {
+			if vi < 0 || int(vi) >= len(s.vps) {
+				t.Fatalf("index %d outside s.vps", vi)
 			}
 		}
+	}
+	if total != len(s.vps) {
+		t.Fatalf("categories hold %d VPs, want %d", total, len(s.vps))
 	}
 }
 
@@ -127,7 +132,7 @@ func TestVPInConeCategory(t *testing.T) {
 	// in AS 3: in-AS; probe of AS 1 relative to AS 3: outside.
 	cats := s.vpCategories(s.Index[3])
 	key := int(asgraph.SameCountry)*int(numVPTopo) + int(VPInAS)
-	if got := catVPs(cats, key); len(got) != 1 || got[0].AS != 3 {
+	if got := catVPs(s, cats, key); len(got) != 1 || got[0].AS != 3 {
 		t.Fatalf("in-AS same-country VP miscategorized: %+v", cats)
 	}
 }
@@ -209,17 +214,13 @@ func TestPenaltyLowersEntryProb(t *testing.T) {
 	s := newTestSelector()
 	rng := rand.New(rand.NewSource(3))
 	p0, m := s.EntryProb(0, 1, rng)
-	// Penalize every strategy for the entry to force the drop.
-	pens := make([]float64, NumStrategies)
-	for id := range pens {
-		pens[id] = 0.25
-	}
-	s.penalty[0*len(s.Members)+1] = pens
+	// An uninformative report penalizes the entry; the memoized score of
+	// (0, 1) must see it.
+	s.Report(*m, false)
 	p1, _ := s.EntryProb(0, 1, rng)
 	if p1 >= p0 {
 		t.Fatalf("penalty should lower P: %v -> %v", p0, p1)
 	}
-	_ = m
 }
 
 func TestSelectBatchFillsNeediestRows(t *testing.T) {
@@ -342,9 +343,12 @@ func TestPickVPBiasedByScore(t *testing.T) {
 	scores[idxs[0]] = counter{good: 10, total: 10}
 	scores[idxs[1]] = counter{good: 0, total: 10}
 	s.vpScore[row] = scores
+	cat := &vpCat{idxs: idxs}
 	wins := 0
 	for k := 0; k < 1000; k++ {
-		if s.pickVP(vps, idxs, row, rng) == vps[0] {
+		var d entryDraw
+		drawVP(len(vps), rng, &d)
+		if s.pickVP(cat, row, &d) == vps[0] {
 			wins++
 		}
 	}
