@@ -152,6 +152,10 @@ func TestGoldenEquivalence(t *testing.T) {
 		{"featured", 36, 0.3, 5, Options{Rank: 7, Lambda: 0.1, FeatureWeight: 0.4, Iterations: 5, Seed: 9}},
 		{"weight-zero-features", 30, 0.5, 4, Options{Rank: 4, Lambda: 0.08, FeatureWeight: 0, Iterations: 4, Seed: 2}},
 		{"rank-clamped", 12, 0.6, 2, Options{Rank: 100, Lambda: 0.2, FeatureWeight: 0.3, Iterations: 3, Seed: 7}},
+		// The pipeline's shape: about 20 feature columns (BuildFeatures)
+		// against a small metro, so the shared feature-block solve covers
+		// a third of the rows.
+		{"pipeline-shaped", 40, 0.3, 22, Options{Rank: 10, Lambda: 0.08, FeatureWeight: 0.35, Iterations: 6, Seed: 13}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			E := lowRankMatrix(tc.n, 4, rng.Int63())
@@ -218,6 +222,73 @@ func TestOverlayHoldoutEquivalence(t *testing.T) {
 	for _, h := range holdout {
 		if !mask.Has(h[0], h[1]) {
 			t.Fatalf("overlay mutated the base mask at %v", h)
+		}
+	}
+
+	// Warm-started: factors holding exactly the cold initial draw must
+	// reproduce the reference, and warm factors from a lower rank (padded
+	// with seeded noise) must give the same result through the overlay as
+	// through a rebuilt mask.
+	dim := n + features.Cols
+	init := &Factors{P: mat.New(dim, opts.Rank), Q: mat.New(dim, opts.Rank)}
+	initRng := rand.New(rand.NewSource(opts.Seed))
+	for i := range init.P.Data {
+		init.P.Data[i] = 0.1 * initRng.NormFloat64()
+		init.Q.Data[i] = 0.1 * initRng.NormFloat64()
+	}
+	want = referenceComplete(E, work, features, opts)
+	got, _ = NewProblem(E, mask, features).CompleteFactors(opts, ov, init)
+	for i := range want.Data {
+		if got.Data[i] != want.Data[i] {
+			t.Fatalf("warm-started entry %d differs from the reference: got %v want %v", i, got.Data[i], want.Data[i])
+		}
+	}
+	lo := opts
+	lo.Rank = 4
+	_, warm := NewProblem(E, mask, features).CompleteFactors(lo, ov, nil)
+	want, _ = NewProblem(E, work, features).CompleteFactors(opts, nil, warm)
+	got, _ = NewProblem(E, mask, features).CompleteFactors(opts, ov, warm)
+	for i := range want.Data {
+		if got.Data[i] != want.Data[i] {
+			t.Fatalf("warm-started overlay entry %d differs: got %v want %v", i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// TestRatingMatchesComplete pins Factorize + Factors.Rating against
+// CompleteFactors' reconstructed matrix, bit-for-bit, for every entry of
+// a featured problem completed through a holdout overlay from a warm
+// start.
+func TestRatingMatchesComplete(t *testing.T) {
+	n := 30
+	E := lowRankMatrix(n, 3, 31)
+	rng := rand.New(rand.NewSource(32))
+	mask := maskFraction(n, 0.4, rng)
+	features := mat.New(n, 6)
+	for i := range features.Data {
+		features.Data[i] = rng.NormFloat64()
+	}
+	ov := mat.NewOverlay(mask)
+	mask.Entries(func(i, j int) {
+		if i != j && rng.Float64() < 0.15 {
+			ov.Remove(i, j)
+		}
+	})
+	p := NewProblem(E, mask, features)
+	_, warm := p.CompleteFactors(Options{Rank: 3, Lambda: 0.1, FeatureWeight: 0.3, Iterations: 4, Seed: 6}, ov, nil)
+	opts := Options{Rank: 5, Lambda: 0.1, FeatureWeight: 0.3, Iterations: 4, Seed: 7}
+	completed, fa := p.CompleteFactors(opts, ov, warm)
+	fb := p.Factorize(opts, ov, warm)
+	for i := range fa.P.Data {
+		if fa.P.Data[i] != fb.P.Data[i] || fa.Q.Data[i] != fb.Q.Data[i] {
+			t.Fatalf("Factorize factors differ from CompleteFactors' at %d", i)
+		}
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if got, want := fb.Rating(i, j), completed.At(i, j); got != want {
+				t.Fatalf("Rating(%d, %d) = %v, completed matrix has %v", i, j, got, want)
+			}
 		}
 	}
 }

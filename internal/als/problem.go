@@ -29,10 +29,16 @@ import (
 // FeatureWeight of 0 on a featured Problem zeroes the feature influence but
 // still factors the augmented dimension; build a featureless Problem for
 // bit-compatibility with the features-off path.)
+//
+// The f feature rows of the augmented matrix are not stored as
+// observation lists: each observes every AS column in order at weight
+// FeatureWeight, and no holdout touches them, so solveSide solves them as
+// one block over feat (see solveFeatureRows).
 type Problem struct {
-	n, f int         // AS block size, feature column count
-	E    *mat.Matrix // estimated matrix the observations were drawn from
-	rows [][]observation
+	n, f int             // AS block size, feature column count
+	E    *mat.Matrix     // estimated matrix the observations were drawn from
+	rows [][]observation // AS rows 0..n-1
+	feat *mat.Matrix     // normalized n×f feature block; nil when f == 0
 }
 
 // observation is one observed entry of the augmented matrix. Its weight is
@@ -55,7 +61,7 @@ func NewProblem(E *mat.Matrix, mask *mat.Mask, features *mat.Matrix) *Problem {
 		feat = normalizeColumns(features)
 		f = feat.Cols
 	}
-	p := &Problem{n: n, f: f, E: E, rows: make([][]observation, n+f)}
+	p := &Problem{n: n, f: f, E: E, rows: make([][]observation, n), feat: feat}
 	// AS rows: link observations (mask rows are sorted, so the per-row
 	// lists come out sorted by column with no re-sort), then feature
 	// columns n..n+f-1 in order.
@@ -69,15 +75,6 @@ func NewProblem(E *mat.Matrix, mask *mat.Mask, features *mat.Matrix) *Problem {
 			obs = append(obs, observation{col: int32(n + c), value: feat.At(i, c)})
 		}
 		p.rows[i] = obs
-	}
-	// Feature rows: the mirrored feature observations, columns 0..n-1 in
-	// order.
-	for c := 0; c < f; c++ {
-		obs := make([]observation, n)
-		for i := 0; i < n; i++ {
-			obs[i] = observation{col: int32(i), value: feat.At(i, c)}
-		}
-		p.rows[n+c] = obs
 	}
 	return p
 }
@@ -95,6 +92,25 @@ type Factors struct {
 // Rank returns the factorization rank of the stored factors.
 func (fa *Factors) Rank() int { return fa.P.Cols }
 
+// Rating returns entry (i, j) of the rating matrix CompleteFactors
+// reconstructs from these factors, bit-for-bit: it runs reconstruct's
+// loop, and swapping i and j only swaps the two final addends. Holdout
+// scoring reads a few entries per row through it instead of building
+// the n×n matrix.
+func (fa *Factors) Rating(i, j int) float64 {
+	return rating(fa.P.Row(i), fa.Q.Row(i), fa.P.Row(j), fa.Q.Row(j))
+}
+
+// rating is the symmetrized product of rows i and j, clipped to [-1, 1].
+func rating(pi, qi, pj, qj []float64) float64 {
+	var a, b float64
+	for d := range pi {
+		a += pi[d] * qj[d]
+		b += pj[d] * qi[d]
+	}
+	return clip((a+b)/2, -1, 1)
+}
+
 // warmPadScale is the scale of the seeded noise used to fill factor
 // dimensions that a warm start does not cover (vs. 0.1 for cold init):
 // large enough to break the symmetry of a zero column, small enough not to
@@ -109,14 +125,24 @@ func (p *Problem) Complete(opts Options, holdout *mat.Overlay) *mat.Matrix {
 	return out
 }
 
-// CompleteFactors is Complete plus warm-start control: when warm is non-nil
-// and dimensionally compatible, the factor matrices are initialized from it
+// CompleteFactors is Complete plus warm-start control (see Factorize): it
+// returns the rating matrix reconstructed from the factors, and the
+// factors themselves.
+func (p *Problem) CompleteFactors(opts Options, holdout *mat.Overlay, warm *Factors) (*mat.Matrix, *Factors) {
+	fa := p.Factorize(opts, holdout, warm)
+	return p.reconstruct(fa), fa
+}
+
+// Factorize runs the ALS sweeps of CompleteFactors and returns the
+// factors alone, for callers that read only a few ratings (Factors.Rating)
+// rather than the whole n×n matrix. When warm is non-nil and
+// dimensionally compatible, the factor matrices are initialized from it
 // — the first min(k, warm.Rank()) columns are copied, and any new columns
 // are filled with small noise drawn from a rand.Rand seeded with opts.Seed
 // (row-major, P then Q per row — the order is part of the determinism
 // contract). A nil warm reproduces the historical cold initialization
 // exactly. The returned Factors are freshly allocated each call.
-func (p *Problem) CompleteFactors(opts Options, holdout *mat.Overlay, warm *Factors) (*mat.Matrix, *Factors) {
+func (p *Problem) Factorize(opts Options, holdout *mat.Overlay, warm *Factors) *Factors {
 	n, f := p.n, p.f
 	dim := n + f
 	k := opts.Rank
@@ -161,7 +187,7 @@ func (p *Problem) CompleteFactors(opts Options, holdout *mat.Overlay, warm *Fact
 		p.solveSide(holdout, P, Q, opts.Lambda, fw) // fix P, solve Q rows
 	}
 
-	return p.reconstruct(P, Q, k), &Factors{P: P, Q: Q}
+	return &Factors{P: P, Q: Q}
 }
 
 // solverScratch is the per-worker normal-equation workspace, pooled across
@@ -173,6 +199,7 @@ type solverScratch struct {
 	lfac []float64 // Cholesky factor scratch
 	sol  []float64
 	obs  []observation // filtered row for holdout-affected rows
+	rhs  []float64     // feature rows' right-hand sides, f×k
 }
 
 var scratchPool = sync.Pool{New: func() any { return &solverScratch{} }}
@@ -195,18 +222,16 @@ func (s *solverScratch) sized(k int) (ata *mat.Matrix, atb []float64) {
 //
 //	(Σ_j w_ij fixed_j fixed_jᵀ + λΣw I) free_i = Σ_j w_ij A_ij fixed_j
 //
-// writing the result into free. Rows are independent, so they are solved
-// by a bounded worker pool; each worker owns its scratch buffers and
-// writes only its own rows, keeping the result bit-identical to the
-// sequential computation.
+// writing the result into free. Rows are independent: the n AS rows are
+// solved by a bounded worker pool, each worker owning its scratch buffers
+// and writing only its own rows, while the calling goroutine solves the
+// feature block (solveFeatureRows). Every row's result is bit-identical
+// to the sequential per-row computation.
 func (p *Problem) solveSide(holdout *mat.Overlay, fixed, free *mat.Matrix, lambda, fw float64) {
-	dim := len(p.rows)
+	n := p.n
 	workers := runtime.GOMAXPROCS(0)
-	if workers > dim {
-		workers = dim
-	}
-	if workers < 1 {
-		workers = 1
+	if workers > n {
+		workers = n
 	}
 	k := fixed.Cols
 	var wg sync.WaitGroup
@@ -216,18 +241,21 @@ func (p *Problem) solveSide(holdout *mat.Overlay, fixed, free *mat.Matrix, lambd
 			defer wg.Done()
 			sc := scratchPool.Get().(*solverScratch)
 			ata, atb := sc.sized(k)
-			for i := start; i < dim; i += workers {
+			for i := start; i < n; i += workers {
 				obs := p.rows[i]
-				if holdout != nil && i < p.n {
+				if holdout != nil {
 					if rm := holdout.Removed(i); len(rm) > 0 {
 						sc.obs = filterObs(sc.obs[:0], obs, rm)
 						obs = sc.obs
 					}
 				}
-				p.solveRow(i, obs, fixed, free.Row(i), lambda, fw, ata, atb, sc)
+				p.solveRow(obs, fixed, free.Row(i), lambda, fw, ata, atb, sc)
 			}
 			scratchPool.Put(sc)
 		}(w)
+	}
+	if p.f > 0 {
+		p.solveFeatureRows(fixed, free, lambda, fw)
 	}
 	wg.Wait()
 }
@@ -249,10 +277,10 @@ func filterObs(dst, row []observation, rm []int32) []observation {
 	return dst
 }
 
-// solveRow solves one row's normal equations into out, reusing the caller's
-// scratch matrices. Link observations weigh 1; observations in the feature
-// block (feature rows, or columns >= n) weigh fw.
-func (p *Problem) solveRow(i int, obs []observation, fixed *mat.Matrix, out []float64, lambda, fw float64, ata *mat.Matrix, atb []float64, sc *solverScratch) {
+// solveRow solves one AS row's normal equations into out, reusing the
+// caller's scratch matrices. Link observations weigh 1; observations in
+// the feature columns (>= n) weigh fw.
+func (p *Problem) solveRow(obs []observation, fixed *mat.Matrix, out []float64, lambda, fw float64, ata *mat.Matrix, atb []float64, sc *solverScratch) {
 	k := fixed.Cols
 	if len(obs) == 0 {
 		// No information: shrink toward zero.
@@ -267,7 +295,6 @@ func (p *Problem) solveRow(i int, obs []observation, fixed *mat.Matrix, out []fl
 	for d := range atb {
 		atb[d] = 0
 	}
-	featRow := i >= p.n
 	nCols := int32(p.n)
 	// Accumulate through re-sliced rows of the backing arrays (the slice
 	// lengths let the compiler drop the inner loops' bounds checks). Each
@@ -279,32 +306,83 @@ func (p *Problem) solveRow(i int, obs []observation, fixed *mat.Matrix, out []fl
 		off := int(o.col) * k
 		q := fixed.Data[off : off+k : off+k]
 		w := 1.0
-		if featRow || o.col >= nCols {
+		if o.col >= nCols {
 			w = fw
 		}
 		wsum += w
 		for a, qa := range q {
 			wqa := w * qa
 			atb[a] += wqa * o.value
-			t := q[a:]
-			arow := g[a*k+a : a*k+k]
-			arow = arow[:len(t)]
-			for b, v := range t {
-				arow[b] += wqa * v
-			}
+			accumulateUpper(g[a*k+a:a*k+k], q[a:], wqa)
 		}
 	}
-	// Mirror the upper triangle and add the regularizer.
-	for a := 0; a < k; a++ {
-		for b := a + 1; b < k; b++ {
-			g[b*k+a] = g[a*k+b]
-		}
-		g[a*k+a] += lambda*wsum + 1e-9
-	}
+	regularize(g, k, lambda*wsum+1e-9)
 	if err := mat.CholeskySolveScratch(ata, atb, sc.lfac, sc.sol); err != nil {
 		return // keep previous factors for this row
 	}
 	copy(out, sc.sol)
+}
+
+// accumulateUpper adds wqa·t to arow: one row of a normal matrix's upper
+// triangle.
+func accumulateUpper(arow, t []float64, wqa float64) {
+	arow = arow[:len(t)]
+	for b, v := range t {
+		arow[b] += wqa * v
+	}
+}
+
+// regularize mirrors the upper triangle of the k×k matrix g and adds
+// diag to its diagonal.
+func regularize(g []float64, k int, diag float64) {
+	for a := 0; a < k; a++ {
+		for b := a + 1; b < k; b++ {
+			g[b*k+a] = g[a*k+b]
+		}
+		g[a*k+a] += diag
+	}
+}
+
+// solveFeatureRows solves the f feature rows of one half-sweep. Feature
+// row c observes every AS column i in order, with value feat(i, c) and
+// weight fw, and no holdout touches it, so all f rows share one normal
+// matrix: it is built and factored once, and each row accumulates only
+// its right-hand side and runs the two substitutions. Every accumulator
+// adds the same terms in the same order as a per-row solve, so the result
+// is bit-identical to f separate solveRow calls; a failed factorization
+// keeps every feature row's previous factors, as f failed solves would.
+func (p *Problem) solveFeatureRows(fixed, free *mat.Matrix, lambda, fw float64) {
+	n, f, k := p.n, p.f, fixed.Cols
+	sc := scratchPool.Get().(*solverScratch)
+	defer scratchPool.Put(sc)
+	ata, _ := sc.sized(k)
+	if cap(sc.rhs) < f*k {
+		sc.rhs = make([]float64, f*k)
+	}
+	rhs := sc.rhs[:f*k]
+	g := ata.Data
+	clear(g)
+	clear(rhs)
+	var wsum float64
+	for i := 0; i < n; i++ {
+		q := fixed.Data[i*k : i*k+k : i*k+k]
+		fv := p.feat.Data[i*f : i*f+f : i*f+f]
+		wsum += fw
+		for a, qa := range q {
+			wqa := fw * qa
+			accumulateUpper(g[a*k+a:a*k+k], q[a:], wqa)
+			for c, v := range fv {
+				rhs[c*k+a] += wqa * v
+			}
+		}
+	}
+	regularize(g, k, lambda*wsum+1e-9)
+	if err := mat.CholeskyFactor(ata, sc.lfac); err != nil {
+		return
+	}
+	for c := 0; c < f; c++ {
+		mat.CholeskySolveFactored(sc.lfac, rhs[c*k:c*k+k], free.Row(n+c))
+	}
 }
 
 // reconstruct forms the symmetrized rating product restricted to the AS
@@ -313,15 +391,12 @@ func (p *Problem) solveRow(i int, obs []observation, fixed *mat.Matrix, out []fl
 // solveSide: worker w owns rows w, w+workers, ... and every (i, j) pair is
 // computed by exactly one worker, so the output is bit-identical to the
 // sequential loop.
-func (p *Problem) reconstruct(P, Q *mat.Matrix, k int) *mat.Matrix {
+func (p *Problem) reconstruct(fa *Factors) *mat.Matrix {
 	n := p.n
 	out := mat.New(n, n)
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
-	}
-	if workers < 1 {
-		workers = 1
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -329,17 +404,9 @@ func (p *Problem) reconstruct(P, Q *mat.Matrix, k int) *mat.Matrix {
 		go func(start int) {
 			defer wg.Done()
 			for i := start; i < n; i += workers {
-				pi := P.Row(i)
-				qi := Q.Row(i)
+				pi, qi := fa.P.Row(i), fa.Q.Row(i)
 				for j := i; j < n; j++ {
-					pj := P.Row(j)
-					qj := Q.Row(j)
-					var a, b float64
-					for d := 0; d < k; d++ {
-						a += pi[d] * qj[d]
-						b += pj[d] * qi[d]
-					}
-					v := clip((a+b)/2, -1, 1)
+					v := rating(pi, qi, fa.P.Row(j), fa.Q.Row(j))
 					out.Set(i, j, v)
 					out.Set(j, i, v)
 				}

@@ -7,8 +7,9 @@ package api
 // invalidation, address plan, hitlist, evidence epoch), refreshes the
 // public view with a round of post-churn traceroutes, and re-scores
 // every served metro incrementally — warm ALS factors, no rank sweep,
-// no tune grid — before swapping in a new serving State at the next
-// epoch. Readers keep the old snapshot until their request returns.
+// no tune grid; metros in parallel, each on its own store snapshot —
+// before swapping in a new serving State at the next epoch. Readers keep
+// the old snapshot until their request returns.
 //
 // Ingest mutates the world in place, which asynchronous runs read
 // without holding the world lock for their whole lifetime; the endpoint
@@ -21,6 +22,9 @@ import (
 	"encoding/json"
 	"math/rand"
 	"net/http"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"metascritic"
 	"metascritic/internal/netsim"
@@ -126,15 +130,18 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		merged[m] = res
 	}
 	g := p.World.G
+	served := cur.ServedMetros()
+	fresh, errs := rescoreAll(p, cur.Results, served, s.opts.Base)
+	// Merge in served order, as a serial loop would have: the metros from
+	// the first failure onward keep their previous results.
 	rescored := []string{}
 	var rescoreErr error
-	for _, m := range cur.ServedMetros() {
-		res, err := p.Rescore(context.Background(), cur.Results[m], s.opts.Base)
-		if err != nil {
-			rescoreErr = err
+	for i, m := range served {
+		if errs[i] != nil {
+			rescoreErr = errs[i]
 			break
 		}
-		merged[m] = res
+		merged[m] = fresh[i]
 		rescored = append(rescored, g.Metros[m].Name)
 	}
 
@@ -170,4 +177,38 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		Traces:       nTraces,
 		Rescored:     rescored,
 	})
+}
+
+// rescoreAll re-scores the given metros concurrently on at most
+// GOMAXPROCS workers, each metro on its own p.Snapshot() — the engine's
+// isolation pattern: Rescore reads the world and writes only its store's
+// caches, so snapshots keep metros from sharing mutable state. The
+// snapshots add no copy-on-write copies (NewState clones the store on
+// every ingest anyway), and each metro's result equals the serial
+// p.Rescore's, since an estimate is a pure function of the store. Results
+// and errors are indexed like metros.
+func rescoreAll(p *metascritic.Pipeline, prev map[int]*metascritic.Result, metros []int, cfg metascritic.Config) ([]*metascritic.Result, []error) {
+	out := make([]*metascritic.Result, len(metros))
+	errs := make([]error, len(metros))
+	workers := runtime.GOMAXPROCS(0)
+	if workers > len(metros) {
+		workers = len(metros)
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= len(metros) {
+					return
+				}
+				out[i], errs[i] = p.Snapshot().Rescore(context.Background(), prev[metros[i]], cfg)
+			}
+		}()
+	}
+	wg.Wait()
+	return out, errs
 }

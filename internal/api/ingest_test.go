@@ -269,3 +269,86 @@ func TestServeWhileIngest(t *testing.T) {
 		t.Fatalf("final epoch = %d, want 2", got)
 	}
 }
+
+// TestIngestRescoreFailure injects a rescore failure into an ingest over
+// three served metros, rescored concurrently: the middle metro (in
+// ServedMetros order) has a previous result Rescore rejects (Rank 0). The
+// ingest must answer 500 naming the one metro re-scored before it, and
+// the new-epoch state must carry a fresh result for that metro only —
+// the failing metro and the one after it keep their old results, as with
+// a serial loop that stops at the first failure.
+func TestIngestRescoreFailure(t *testing.T) {
+	worldCfg := metascritic.WorldConfig{Seed: 21, Metros: metascritic.DefaultMetros(0.1)}
+	w := metascritic.GenerateWorld(worldCfg)
+	p := metascritic.NewPipeline(w)
+	p.SeedPublicMeasurements(6, rand.New(rand.NewSource(21)))
+	cfg := metascritic.DefaultConfig()
+	cfg.MaxMeasurements = 300
+	cfg.BatchSize = 60
+	cfg.Rank.MaxRank = 4
+	cfg.Rank.Iterations = 3
+	var metros []int
+	for _, m := range w.G.Metros {
+		if len(m.Members) >= 10 && len(metros) < 3 {
+			metros = append(metros, m.Index)
+		}
+	}
+	if len(metros) != 3 {
+		t.Fatalf("fixture world has %d metros with 10+ members, want 3", len(metros))
+	}
+	first, bad, last := metros[0], metros[1], metros[2]
+	old := map[int]*metascritic.Result{
+		bad: {Metro: bad, Members: w.G.Metros[bad].Members}, // Rank 0: Rescore refuses it
+	}
+	for _, m := range []int{first, last} {
+		res, err := p.Snapshot().Run(context.Background(), m, cfg)
+		if err != nil {
+			t.Fatalf("fixture run of metro %d: %v", m, err)
+		}
+		old[m] = res
+	}
+	results := map[int]*metascritic.Result{}
+	for m, res := range old {
+		results[m] = res
+	}
+	s := NewServer(p, results, Options{WorldCfg: worldCfg, Base: cfg})
+	if got := s.State().ServedMetros(); len(got) != 3 || got[0] != first || got[1] != bad || got[2] != last {
+		t.Fatalf("served metros %v, want [%d %d %d]", got, first, bad, last)
+	}
+
+	res, body := postIngest(t, s.Handler(), `{"seed": 3, "link_downs": 4, "link_ups": 4, "traces_per_probe": 2}`)
+	if res.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("ingest with a failing rescore: got %d want 500 (%s)", res.StatusCode, body)
+	}
+	if !strings.Contains(body, "after 1 metro(s)") {
+		t.Fatalf("500 body does not count the one metro re-scored before the failure: %s", body)
+	}
+	st := s.State()
+	if st.Epoch != 1 || st.Seq != 2 {
+		t.Fatalf("the batch was absorbed, so the state must move to epoch 1 / seq 2: epoch %d seq %d", st.Epoch, st.Seq)
+	}
+	if st.Results[first] == old[first] {
+		t.Fatalf("metro %d before the failure was not re-scored", first)
+	}
+	if st.Results[bad] != old[bad] || st.Results[last] != old[last] {
+		t.Fatalf("metros from the failure onward must keep their old results")
+	}
+	if got := s.ingestRescores.Load(); got != 1 {
+		t.Fatalf("ingest counted %d rescores, want 1", got)
+	}
+	// The concurrent rescore ran on a store snapshot; its result must equal
+	// a serial Rescore over the post-ingest pipeline.
+	want, err := p.Rescore(context.Background(), old[first], cfg)
+	if err != nil {
+		t.Fatalf("serial rescore: %v", err)
+	}
+	got := st.Results[first]
+	if got.Threshold != want.Threshold || len(got.Ratings.Data) != len(want.Ratings.Data) {
+		t.Fatalf("concurrent rescore differs from serial: threshold %v vs %v", got.Threshold, want.Threshold)
+	}
+	for i := range want.Ratings.Data {
+		if got.Ratings.Data[i] != want.Ratings.Data[i] {
+			t.Fatalf("concurrent rescore rating %d = %v, serial %v", i, got.Ratings.Data[i], want.Ratings.Data[i])
+		}
+	}
+}

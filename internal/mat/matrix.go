@@ -209,13 +209,29 @@ func CholeskySolve(a *Matrix, b []float64) ([]float64, error) {
 // CholeskySolveScratch is the allocation-free form of CholeskySolve for hot
 // loops that solve many identically-sized systems (the per-row ALS solves):
 // lfac (len n²) receives the factorization and out (len n) the solution.
-// The arithmetic is identical to CholeskySolve, so results are bit-equal.
+// It is CholeskyFactor followed by CholeskySolveFactored, the same
+// arithmetic as CholeskySolve, so results are bit-equal.
 func CholeskySolveScratch(a *Matrix, b, lfac, out []float64) error {
 	n := a.Rows
 	if a.Cols != n || len(b) != n || len(lfac) < n*n || len(out) != n {
 		panic("mat: CholeskySolveScratch dimension mismatch")
 	}
-	// Factor A = L Lᵀ.
+	if err := CholeskyFactor(a, lfac); err != nil {
+		return err
+	}
+	CholeskySolveFactored(lfac[:n*n], b, out)
+	return nil
+}
+
+// CholeskyFactor writes the lower-triangular factor L of A = L Lᵀ into
+// lfac (len ≥ n², row-major; the strict upper triangle keeps A's
+// entries and is never read). A system matrix shared by many right-hand
+// sides is factored once and each side solved with CholeskySolveFactored.
+func CholeskyFactor(a *Matrix, lfac []float64) error {
+	n := a.Rows
+	if a.Cols != n || len(lfac) < n*n {
+		panic("mat: CholeskyFactor dimension mismatch")
+	}
 	l := Matrix{Rows: n, Cols: n, Data: lfac[:n*n]}
 	copy(l.Data, a.Data)
 	for j := 0; j < n; j++ {
@@ -237,6 +253,17 @@ func CholeskySolveScratch(a *Matrix, b, lfac, out []float64) error {
 			l.Set(i, j, s/d)
 		}
 	}
+	return nil
+}
+
+// CholeskySolveFactored solves L Lᵀ x = b into out (len n) by forward and
+// back substitution, given the factor lfac (len n²) of CholeskyFactor.
+func CholeskySolveFactored(lfac, b, out []float64) {
+	n := len(out)
+	if len(b) != n || len(lfac) != n*n {
+		panic("mat: CholeskySolveFactored dimension mismatch")
+	}
+	l := Matrix{Rows: n, Cols: n, Data: lfac}
 	// Forward substitution L y = b, writing y into out.
 	for i := 0; i < n; i++ {
 		s := b[i]
@@ -254,7 +281,6 @@ func CholeskySolveScratch(a *Matrix, b, lfac, out []float64) error {
 		}
 		out[i] = s / l.At(i, i)
 	}
-	return nil
 }
 
 // SymEigen computes the eigenvalues and eigenvectors of a symmetric matrix

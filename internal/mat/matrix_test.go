@@ -158,6 +158,49 @@ func TestCholeskyNotPD(t *testing.T) {
 	}
 }
 
+// TestCholeskyFactoredMatchesSolve pins the factor/solve split: factoring
+// once and running the substitutions must equal CholeskySolve bit-for-bit,
+// and a matrix that is not positive definite must fail in CholeskyFactor.
+func TestCholeskyFactoredMatchesSolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(12)
+		b := New(n, n)
+		for i := range b.Data {
+			b.Data[i] = rng.NormFloat64()
+		}
+		a := AddMat(Mul(b.T(), b), Identity(n))
+		if trial%5 == 4 {
+			a.Data[0] = -1 // not positive definite
+		}
+		lfac := make([]float64, n*n)
+		ferr := CholeskyFactor(a, lfac)
+		for rhs := 0; rhs < 3; rhs++ {
+			v := make([]float64, n)
+			for i := range v {
+				v[i] = rng.NormFloat64()
+			}
+			want, err := CholeskySolve(a, v)
+			if err != ferr {
+				t.Fatalf("trial %d: CholeskyFactor err %v, CholeskySolve err %v", trial, ferr, err)
+			}
+			if err != nil {
+				if err != ErrNotPositiveDefinite {
+					t.Fatalf("trial %d: want ErrNotPositiveDefinite, got %v", trial, err)
+				}
+				continue
+			}
+			got := make([]float64, n)
+			CholeskySolveFactored(lfac, v, got)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d rhs %d entry %d: factored %v, CholeskySolve %v", trial, rhs, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestSymEigenKnown(t *testing.T) {
 	// [[2,1],[1,2]] has eigenvalues 3 and 1.
 	a := FromRows([][]float64{{2, 1}, {1, 2}})

@@ -221,13 +221,13 @@ func Estimate(E *mat.Matrix, mask *mat.Mask, features *mat.Matrix, topUp TopUpFu
 			for _, h := range holdout {
 				ov.Remove(h[0], h[1])
 			}
-			completed, factors := prob.CompleteFactors(opts, ov, init)
+			factors := prob.Factorize(opts, ov, init)
 			warm = factors // the last draw's factors seed rank r+1
 			for _, h := range holdout {
 				if ov.RowCount(h[0]) < r || ov.RowCount(h[1]) < r {
 					continue
 				}
-				diff := completed.At(h[0], h[1]) - E.At(h[0], h[1])
+				diff := factors.Rating(h[0], h[1]) - E.At(h[0], h[1])
 				se += diff * diff
 				cnt++
 			}

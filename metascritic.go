@@ -137,11 +137,13 @@ type PhaseTimings struct {
 	// prefetched routes). Its wall-clock is a subset of Bootstrap+RankLoop.
 	Measure MeasureStats
 	// Allocs counts heap allocations attributed to each phase, sampled as
-	// runtime.ReadMemStats deltas at the same boundaries as the wall-clock
-	// fields. The runtime counter is process-global, so in a concurrent
-	// batch a phase's count includes whatever other goroutines allocated
-	// meanwhile — read it from single-run (or Workers=1) sessions when
-	// attributing allocations precisely.
+	// deltas of runtime/metrics' object-allocation counters (small and
+	// large objects plus tiny allocations, the runtime.MemStats.Mallocs
+	// count) at the same boundaries as the wall-clock fields. The runtime
+	// counter is process-global, so in a concurrent batch a phase's count
+	// includes whatever other goroutines allocated meanwhile — read it
+	// from single-run (or Workers=1) sessions when attributing
+	// allocations precisely.
 	Allocs PhaseAllocs
 }
 
@@ -443,7 +445,8 @@ func CompleteWithout(E *mat.Matrix, mask *mat.Mask, features *mat.Matrix, holdou
 
 // pickThreshold runs an internal stratified holdout to choose λ. The
 // holdout is applied as an overlay on prob (the final completion problem),
-// so no mask clone or observation rebuild happens here.
+// so no mask clone or observation rebuild happens here, and the held-out
+// ratings are read from the factors without building the n×n matrix.
 func (p *Pipeline) pickThreshold(est *obs.Estimate, prob *als.Problem, opts als.Options, rng *rand.Rand) float64 {
 	var holdout [][2]int
 	ov := mat.NewOverlay(est.Mask)
@@ -466,11 +469,11 @@ func (p *Pipeline) pickThreshold(est *obs.Estimate, prob *als.Problem, opts als.
 	if len(holdout) < 5 {
 		return 0.3 // not enough data; the paper's max-F operating point
 	}
-	completed := prob.Complete(opts, ov)
+	fa := prob.Factorize(opts, ov, nil)
 	scores := make([]float64, len(holdout))
 	labels := make([]bool, len(holdout))
 	for k, h := range holdout {
-		scores[k] = completed.At(h[0], h[1])
+		scores[k] = fa.Rating(h[0], h[1])
 		labels[k] = est.E.At(h[0], h[1]) > 0
 	}
 	thr, _ := stats.BestF1Threshold(scores, labels)

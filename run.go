@@ -9,7 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
+	"runtime/metrics"
 	"time"
 
 	"metascritic/internal/als"
@@ -70,13 +70,17 @@ func (p *Pipeline) Run(ctx context.Context, metro int, cfg Config) (*Result, err
 	res := &Result{Metro: metro, Members: members}
 
 	// Phase-attribution counters: heap allocations are sampled at the
-	// same boundaries as the wall-clock phases (5 ReadMemStats calls per
-	// run — negligible next to a phase). See PhaseTimings.Allocs for the
-	// process-global caveat.
-	var memStats runtime.MemStats
+	// same boundaries as the wall-clock phases, from runtime/metrics,
+	// which unlike runtime.ReadMemStats does not stop the world (so one
+	// metro's sampling does not pause the others under RunAll). See
+	// PhaseTimings.Allocs for the process-global caveat.
+	allocSamples := []metrics.Sample{
+		{Name: "/gc/heap/allocs:objects"},
+		{Name: "/gc/heap/tiny/allocs:objects"},
+	}
 	mallocs := func() uint64 {
-		runtime.ReadMemStats(&memStats)
-		return memStats.Mallocs
+		metrics.Read(allocSamples)
+		return allocSamples[0].Value.Uint64() + allocSamples[1].Value.Uint64()
 	}
 	allocMark := mallocs()
 	allocPhase := func(counter *uint64) {
